@@ -1,10 +1,10 @@
 """The per-layer metrics: what each measures and which end-to-end metric it should move.
 
 ``LAYERS`` is the design record of the traced run.  Each row names a metric
-``<module>.<what>``, its unit and direction, the program layer it reads, the
-workload that loads that layer, and the end-to-end metric a change to the
-layer should move.  ``PER_LAYER`` (name, unit, better) is what
-``BENCHMARK.json`` lists.
+``<module>.<what>``, the program layer it reads, the workload that loads that
+layer, and the end-to-end metric a change to the layer should move.  Units
+and directions are in ``BENCHMARK.json``'s ``per_layer`` list, whose names
+must be exactly these.
 
 Span self times are summed over the traced items; counters are summed over
 the items' Reports (``bdd.peak_nodes`` is the largest single peak).
@@ -21,75 +21,73 @@ from __future__ import annotations
 
 import statistics
 
-# name, unit, better, layer (modules), loaded by, should move
+# name, layer (modules), loaded by, should move
 LAYERS = (
-    ("bdd.reorder_s", "s", "lower", "clocks.bdd reorder (sifting)", "shuffled-registers",
+    ("bdd.reorder_s", "clocks.bdd reorder (sifting)", "shuffled-registers",
      "latency_s_p50 and items_per_s on shuffled-registers; no move on epc-chain or design-batch"),
-    ("bdd.reorders", "count", "lower", "clocks.bdd reorder", "shuffled-registers", "as bdd.reorder_s"),
-    ("bdd.nodes_created", "count", "lower", "clocks.bdd_array", "shuffled-registers", "as bdd.reorder_s"),
-    ("bdd.created_per_peak", "ratio", "lower", "clocks.bdd_array (wasted vs useful nodes)",
+    ("bdd.reorders", "clocks.bdd reorder", "shuffled-registers", "as bdd.reorder_s"),
+    ("bdd.nodes_created", "clocks.bdd_array", "shuffled-registers", "as bdd.reorder_s"),
+    ("bdd.created_per_peak", "clocks.bdd_array (wasted vs useful nodes)",
      "shuffled-registers", "as bdd.reorder_s"),
-    ("bdd.peak_nodes", "count", "lower", "clocks.bdd_array", "shuffled-registers",
+    ("bdd.peak_nodes", "clocks.bdd_array", "shuffled-registers",
      "peak_rss_mb and latency_s_p50 on shuffled-registers"),
-    ("bdd.cache_hit_ratio", "ratio", "higher", "clocks.bdd_array computed table", "shuffled-registers",
+    ("bdd.cache_hit_ratio", "clocks.bdd_array computed table", "shuffled-registers",
      "latency_s_p50 on shuffled-registers"),
-    ("relational.build_s", "s", "lower", "verification.symbolic / symbolic_int relation build "
+    ("relational.build_s", "verification.symbolic / symbolic_int relation build "
      "(with the Z/3Z encoding)", "shuffled-registers; small in design-batch", "latency_s_p50 on shuffled-registers"),
-    ("relational.fixpoint_s", "s", "lower", "verification.relational fixpoint (self time)",
+    ("relational.fixpoint_s", "verification.relational fixpoint (self time)",
      "shuffled-registers", "latency_s_p50 on shuffled-registers"),
-    ("relational.image_s", "s", "lower", "verification.relational image", "shuffled-registers",
+    ("relational.image_s", "verification.relational image", "shuffled-registers",
      "latency_s_p50 on shuffled-registers"),
-    ("relational.iterations", "count", "lower", "verification.relational", "shuffled-registers",
+    ("relational.iterations", "verification.relational", "shuffled-registers",
      "latency_s_p50 on shuffled-registers"),
-    ("relational.clusters", "count", "lower", "verification.relational partition", "shuffled-registers",
+    ("relational.clusters", "verification.relational partition", "shuffled-registers",
      "latency_s_p50 on shuffled-registers"),
-    ("workbench.backend_explicit", "count", "lower", "workbench.registry routing", "all",
+    ("workbench.backend_explicit", "workbench.registry routing", "all",
      "explains a latency step when routing changes"),
-    ("workbench.backend_symbolic", "count", "lower", "workbench.registry routing", "all",
+    ("workbench.backend_symbolic", "workbench.registry routing", "all",
      "explains a latency step when routing changes"),
-    ("workbench.backend_symbolic_int", "count", "higher", "workbench.registry routing", "all",
+    ("workbench.backend_symbolic_int", "workbench.registry routing", "all",
      "explains a latency step when routing changes"),
-    ("explorer.explore_s", "s", "lower", "verification.explorer over simulation.codegen kernels",
+    ("explorer.explore_s", "verification.explorer over simulation.codegen kernels",
      "epc-chain; about a quarter of design-batch", "latency_s_p50 and items_per_s on epc-chain"),
-    ("explorer.states", "count", "lower", "verification.explorer", "epc-chain", "as explorer.explore_s"),
-    ("explorer.transitions", "count", "lower", "verification.explorer", "epc-chain", "as explorer.explore_s"),
-    ("explorer.stimuli_rejected", "count", "lower", "verification.explorer", "epc-chain",
+    ("explorer.states", "verification.explorer", "epc-chain", "as explorer.explore_s"),
+    ("explorer.transitions", "verification.explorer", "epc-chain", "as explorer.explore_s"),
+    ("explorer.stimuli_rejected", "verification.explorer", "epc-chain",
      "as explorer.explore_s"),
-    ("explorer.accept_ratio", "ratio", "higher", "verification.explorer (useful vs tried stimuli)",
+    ("explorer.accept_ratio", "verification.explorer (useful vs tried stimuli)",
      "epc-chain", "as explorer.explore_s"),
-    ("bisimulation.check_s", "s", "lower", "verification.bisimulation", "epc-chain",
+    ("bisimulation.check_s", "verification.bisimulation", "epc-chain",
      "epc-chain latency (little)"),
-    ("epc.levels_s", "s", "lower", "epc.* level runs", "epc-chain", "epc-chain latency (little)"),
-    ("clocks.endochrony_s", "s", "lower", "clocks.hierarchy / endochrony", "epc-chain",
+    ("epc.levels_s", "epc.* level runs", "epc-chain", "epc-chain latency (little)"),
+    ("clocks.endochrony_s", "clocks.hierarchy / endochrony", "epc-chain",
      "epc-chain latency (little)"),
-    ("signal.parse_s", "s", "lower", "signal.parser", "design-batch", "latency_s_p50 on design-batch"),
-    ("simulation.compile_s", "s", "lower", "simulation.compiler / codegen", "design-batch",
+    ("signal.parse_s", "signal.parser", "design-batch", "latency_s_p50 on design-batch"),
+    ("simulation.compile_s", "simulation.compiler / codegen", "design-batch",
      "latency_s_p50 and items_per_s on design-batch"),
-    ("simulation.kernels", "count", "lower", "simulation.codegen", "design-batch",
+    ("simulation.kernels", "simulation.codegen", "design-batch",
      "latency_s_p50 and items_per_s on design-batch"),
-    ("ranges.infer_s", "s", "lower", "verification.ranges", "design-batch", "latency_s_p50 on design-batch"),
-    ("workbench.check_s", "s", "lower", "workbench.design / report property evaluation (self time)",
+    ("ranges.infer_s", "verification.ranges", "design-batch", "latency_s_p50 on design-batch"),
+    ("workbench.check_s", "workbench.design / report property evaluation (self time)",
      "design-batch", "latency tail on design-batch, where failing items carry traces"),
-    ("workbench.trace_s", "s", "lower", "engine trace_to", "design-batch",
+    ("workbench.trace_s", "engine trace_to", "design-batch",
      "latency tail on design-batch, where failing items carry traces"),
-    ("jobs.queue_wait_s", "s", "lower", "workbench.jobs (Report.events)", "job-service",
+    ("jobs.queue_wait_s", "workbench.jobs (Report.events)", "job-service",
      "latency_s_p50 and items_per_s on job-service"),
-    ("jobs.run_s", "s", "lower", "workbench.jobs worker", "job-service",
+    ("jobs.run_s", "workbench.jobs worker", "job-service",
      "latency_s_p50 and items_per_s on job-service"),
-    ("jobs.return_s", "s", "lower", "workbench.jobs result transfer", "job-service",
+    ("jobs.return_s", "workbench.jobs result transfer", "job-service",
      "latency_s_p50 and items_per_s on job-service"),
-    ("cache.hits", "count", "higher", "workbench.cache", "job-service", "items_per_s on job-service"),
-    ("cache.misses", "count", "lower", "workbench.cache", "job-service", "items_per_s on job-service"),
-    ("cache.hit_ratio", "ratio", "higher", "workbench.cache", "job-service", "items_per_s on job-service"),
-    ("trace.items_s", "s", "lower", "all traced items, end to end", "all",
+    ("cache.hits", "workbench.cache", "job-service", "items_per_s on job-service"),
+    ("cache.misses", "workbench.cache", "job-service", "items_per_s on job-service"),
+    ("cache.hit_ratio", "workbench.cache", "job-service", "items_per_s on job-service"),
+    ("trace.items_s", "all traced items, end to end", "all",
      "the base the span times are shares of"),
-    ("trace.latency_s_p50_overhead", "s", "lower", "the tracing itself", "all",
+    ("trace.latency_s_p50_overhead", "the tracing itself", "all",
      "traced minus untraced latency_s_p50"),
-    ("trace.items_per_s_overhead", "ratio", "lower", "the tracing itself", "all",
+    ("trace.items_per_s_overhead", "the tracing itself", "all",
      "untraced over traced items_per_s, minus one"),
 )
-
-PER_LAYER = tuple((name, unit, better) for name, unit, better, *_rest in LAYERS)
 
 #: Span self times summed into each time metric.
 SPAN_METRICS = {
@@ -164,4 +162,4 @@ def per_layer_metrics(traced: list[dict], plain: dict) -> dict:
     jobs = [timing for r in traced for timing in r["events"]]
     for position, name in enumerate(("jobs.queue_wait_s", "jobs.run_s", "jobs.return_s")):
         metrics[name] = sum(timing[position] for timing in jobs)
-    return {name: metrics[name] for name, _unit, _better in PER_LAYER}
+    return {name: metrics[name] for name, *_record in LAYERS}

@@ -24,9 +24,12 @@ warm-up counters to agree across all clients, which alternate
 ``PYTHONHASHSEED`` 0 and 1.  The traced run ends with the determinism guard:
 two more clients rerun the first items traced, one under each hash seed, and
 every host-independent counter must agree between them.  A mismatch is
-reported as ``"correct": false``.  The summary line of an untraced run ends
-with a digest of every item's host-independent counters, which runs of the
-same seed must share.  The last stdout line is the JSON result.
+reported as ``"correct": false``.  The summary line of an untraced run holds
+a digest of every item's host-independent counters, which runs of the same
+seed must share; every summary line ends with the median host calibration
+time (``CALIBRATION_LOOP``) and the run's length.  The last stdout line is
+the JSON result.  Clients run without any ``REPRO_*`` variable, so they
+measure the program's default engines.
 """
 
 from __future__ import annotations
@@ -46,13 +49,19 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
-from layers import PER_LAYER, per_layer_metrics  # noqa: E402
+from layers import per_layer_metrics  # noqa: E402
 from workloads import GUARD_ITEMS, WORKLOADS, item_count  # noqa: E402
 
-#: Fresh client processes per timed run, one set-up sample each.  A list of
-#: fewer items gives one item to each of its clients and interleaves
-#: set-up-only clients between them.
-CLIENTS = 9
+#: Fresh client processes per timed run, one cold set-up sample each, so
+#: ``setup_s`` is a median of this many samples spread through the run.  A
+#: list of fewer items gives one item to each of its clients and interleaves
+#: set-up-only clients between them.  Job-service has fewer, because each of
+#: its clients spawns and shuts down a worker pool (about 1.5 s).
+CLIENTS = {"shuffled-registers": 15, "epc-chain": 15, "design-batch": 15, "job-service": 9}
+#: Iterations of the fixed pure-Python loop timed before each client: a
+#: host-speed reference logged with every run (about 0.1 s on a 2-core host
+#: at Python 3.11), so a slow host can be told apart from a slow program.
+CALIBRATION_LOOP = 1_000_000
 #: Client pairs (untraced, traced) of a traced run.
 TRACED_PAIRS = 2
 #: The two hash seeds the clients alternate and the guard compares.
@@ -65,17 +74,30 @@ class ClientFailed(RuntimeError):
     """A client process exited abnormally."""
 
 
+def calibration_s() -> float:
+    """Seconds the fixed calibration loop takes in this process."""
+    started = time.perf_counter()
+    total = 0
+    for value in range(CALIBRATION_LOOP):
+        total += value * value % 7
+    return time.perf_counter() - started
+
+
 def run_client(root: str, config: dict, hash_seed: str, deadline: float) -> dict:
-    """Run one client to completion and return its JSON result.
+    """Run one client to completion and return its JSON result, with the
+    calibration time measured just before it started.
 
     The client runs in its own session, so a client that overruns the run's
     deadline, or outlives an interrupted run, is killed together with any
     pool workers it started.
     """
-    env = dict(os.environ)
+    # The REPRO_* switches select oracle engines or worker counts: drop them,
+    # so every run measures the program's defaults, the path users run.
+    env = {name: value for name, value in os.environ.items() if not name.startswith("REPRO_")}
     src = os.path.join(root, "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     env["PYTHONHASHSEED"] = hash_seed
+    calibration = calibration_s()
     process = subprocess.Popen(
         [sys.executable, os.path.join(HERE, "client.py"), json.dumps(config)],
         cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -92,7 +114,7 @@ def run_client(root: str, config: dict, hash_seed: str, deadline: float) -> dict
     if process.returncode != 0:
         tail = stderr.strip().splitlines()[-5:]
         raise ClientFailed(f"client exited {process.returncode}: " + " | ".join(tail))
-    return json.loads(stdout.strip().splitlines()[-1])
+    return dict(json.loads(stdout.strip().splitlines()[-1]), calibration_s=calibration)
 
 
 def percentile(values: list[float], share: float) -> float:
@@ -149,7 +171,12 @@ def main(argv: list[str] | None = None) -> int:
         print("perfbench: run from the repository root (src/repro not found)", file=sys.stderr)
         return 2
 
-    deadline = time.monotonic() + RUN_DEADLINE_S
+    with open(os.path.join(root, "BENCHMARK.json")) as spec_file:
+        spec = json.load(spec_file)
+    # BENCHMARK.json is the one list of metric names and units.
+    units = {m["name"]: m["unit"] for m in spec["per_layer" if args.trace else "end_to_end"]}
+    started = time.monotonic()
+    deadline = started + RUN_DEADLINE_S
     count = item_count(args.workload, args.seconds)
     base = {"workload": args.workload, "seed": args.seed, "count": count}
     indices = list(range(count))
@@ -185,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
                     root, dict(base, indices=chunk, trace=False, store=store("timed")),
                     HASH_SEEDS[part % 2], deadline,
                 )
-                for part, chunk in enumerate(split(indices, CLIENTS))
+                for part, chunk in enumerate(split(indices, CLIENTS[args.workload]))
             ]
             guards = []
     except ClientFailed as failure:
@@ -209,10 +236,14 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(f"host-independent counters differ between hash seeds: {digests}")
     for failure in failures[:10]:
         print(f"perfbench: FAILED {failure}", file=sys.stderr)
+    host = (
+        f"host calibration {statistics.median(r['calibration_s'] for r in everything):.4f}s "
+        f"(median of {len(everything)}), run {time.monotonic() - started:.1f}s"
+    )
 
     if args.trace:
         metrics = per_layer_metrics(traced, end_to_end(untraced))
-        units = {name: unit for name, unit, _better in PER_LAYER}
+        print(f"perfbench: {args.workload} seed {args.seed} traced: {host}")
     else:
         e2e = dict(end_to_end(clients), setup_s=statistics.median(r["setup_s"] for r in clients))
         # Same seed, same digest: the host-independent counters of every item.
@@ -222,10 +253,13 @@ def main(argv: list[str] | None = None) -> int:
             f"latency p50 {e2e['latency_s_p50']:.6f}s p90 {e2e['latency_s_p90']:.6f}s, "
             f"{e2e['items_per_s']:.3f} items/s, setup {e2e['setup_s']:.4f}s "
             f"(median of {len(clients)}), peak rss {e2e['peak_rss_mb']:.1f} MB, "
-            f"counters {hashlib.sha256(counters.encode()).hexdigest()[:16]}"
+            f"counters {hashlib.sha256(counters.encode()).hexdigest()[:16]}, {host}"
         )
-        metrics = {name: e2e[name] for name in ("setup_s", "items_per_s", "latency_s_p50", "peak_rss_mb")}
-        units = {"setup_s": "s", "items_per_s": "1/s", "latency_s_p50": "s", "peak_rss_mb": "MB"}
+        metrics = {name: e2e[name] for name in units if name in e2e}
+    if set(metrics) != set(units):
+        print(f"perfbench: metrics {sorted(metrics)} are not BENCHMARK.json's {sorted(units)}",
+              file=sys.stderr)
+        return 2
     failed = sum(1 for o in outcomes if not o["ok"])
     print(json.dumps({
         "correct": not failures,

@@ -22,16 +22,18 @@ from typing import Any, Callable, Optional
 
 WORKLOADS = ("shuffled-registers", "epc-chain", "design-batch", "job-service")
 
-#: Nominal cost of one item, used only to size the item list from
-#: ``--seconds``; the list is then fixed, so every run of a workload does the
-#: same work whatever the host's speed.  On a 2-core host a run of 20 s then
-#: takes 20-30 s in all, client start-up included (job-service pays for a
-#: worker pool per client, so its figure is set above its item cost).
+#: Seconds of ``--seconds`` given to one item, used only to size the item
+#: list; the list is then fixed, so every run of a workload does the same
+#: work whatever the host's speed.  The figures are near each item's cost on
+#: a 2-core host, except that epc-chain (about 4.3 s an item) gets seven
+#: items in 20 s, because fewer leave its latency median at the mercy of the
+#: host's drift.  A run of 20 s then takes 25-40 s in all, client start-up
+#: included.
 NOMINAL_ITEM_SECONDS = {
     "shuffled-registers": 3.3,
-    "epc-chain": 4.0,
-    "design-batch": 0.016,
-    "job-service": 0.02,
+    "epc-chain": 2.9,
+    "design-batch": 0.02,
+    "job-service": 0.016,
 }
 
 #: Items in the list the determinism guard reruns under two hash seeds.
@@ -49,7 +51,7 @@ GUARD_ITEMS = {
 #: mostly takes one reorder; from depth 16 on most take two, at 4-8 s an
 #: item, too few items in a run for a steady median.
 REGISTER_CORPUS_SEED = 2003
-REGISTER_DEPTHS = (15,)
+REGISTER_DEPTH = 15
 
 #: The design-batch stream: one round is one process of each kind, and every
 #: ``BANK_EVERY``-th round adds the composed modulo-counter bank that ``auto``
@@ -59,11 +61,11 @@ REGISTER_DEPTHS = (15,)
 ROUND_KINDS = ("modulo", "saturating", "channel", "alternator", "register")
 BANK_EVERY = 16
 BANK_MODULI = (10, 11, 12, 13)
+#: Parameter ranges of the kinds that take one (the alternator takes none).
 PARAMETER_RANGES = {
     "modulo": range(2, 10),
     "saturating": range(2, 7),
     "channel": range(1, 7),
-    "alternator": range(1, 2),
     "register": range(4, 14),
 }
 
@@ -104,15 +106,12 @@ def make_items(workload: str, seed: int, count: int) -> list[dict]:
 
 def _register_items(seed: int, count: int) -> list[dict]:
     corpus_rng = random.Random(REGISTER_CORPUS_SEED)
-    corpus = [
-        (REGISTER_DEPTHS[index % len(REGISTER_DEPTHS)], corpus_rng.randrange(2 ** 32))
-        for index in range(count)
-    ]
+    corpus = [corpus_rng.randrange(2 ** 32) for _ in range(count)]
     rng = random.Random(seed)
     rng.shuffle(corpus)
     return [
-        {"depth": depth, "shuffle": shuffle, "stage": rng.randrange(depth)}
-        for depth, shuffle in corpus
+        {"depth": REGISTER_DEPTH, "shuffle": shuffle, "stage": rng.randrange(REGISTER_DEPTH)}
+        for shuffle in corpus
     ]
 
 
@@ -122,7 +121,9 @@ def _batch_items(seed: int, count: int) -> list[dict]:
     rng = random.Random(seed)
     decks: dict[str, list[int]] = {}
 
-    def draw(kind: str) -> int:
+    def draw(kind: str) -> Optional[int]:
+        if kind not in PARAMETER_RANGES:
+            return None
         if not decks.get(kind):
             deck = list(PARAMETER_RANGES[kind])
             rng.shuffle(deck)
