@@ -55,13 +55,14 @@ from workloads import GUARD_ITEMS, WORKLOADS, item_count  # noqa: E402
 #: Fresh client processes per timed run, one cold set-up sample each, so
 #: ``setup_s`` is a median of this many samples spread through the run.  A
 #: list of fewer items gives one item to each of its clients and interleaves
-#: set-up-only clients between them.  Job-service has fewer, because each of
-#: its clients spawns and shuts down a worker pool (about 1.5 s).
-CLIENTS = {"shuffled-registers": 15, "epc-chain": 15, "design-batch": 15, "job-service": 9}
+#: set-up-only clients between them.  Shuffled-registers has one client per
+#: item, and job-service fewer, because each of its clients spawns and shuts
+#: down a worker pool (about 1.5 s): both keep a run within its time budget.
+CLIENTS = {"shuffled-registers": 12, "epc-chain": 15, "design-batch": 15, "job-service": 9}
 #: Iterations of the fixed pure-Python loop timed before each client: a
-#: host-speed reference logged with every run (about 0.1 s on a 2-core host
+#: host-speed reference logged with every run (about 0.03 s on a 2-core host
 #: at Python 3.11), so a slow host can be told apart from a slow program.
-CALIBRATION_LOOP = 1_000_000
+CALIBRATION_LOOP = 300_000
 #: Client pairs (untraced, traced) of a traced run.
 TRACED_PAIRS = 2
 #: The two hash seeds the clients alternate and the guard compares.
