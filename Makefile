@@ -43,6 +43,8 @@ cov:
 	$(PYTEST) -q --cov=repro --cov-report=term-missing:skip-covered --cov-fail-under=$(COV_MIN)
 
 lint:
+	@$(PYTHON) -m ruff --version >/dev/null 2>&1 || { \
+		echo "make lint: ruff is not installed; run: pip install -r requirements-dev.txt" >&2; exit 1; }
 	$(PYTHON) -m ruff check .
 	$(PYTHON) -m compileall -q src
 

@@ -14,8 +14,10 @@ register family of :mod:`bench_variable_ordering` scaled past 2^20 states:
 * **scaling** — at the full depth (2^21 reachable states) the 4-worker
   pooled fixpoint beats the 1-worker pooled fixpoint by >=1.5x wall-clock.
   The assertion only fires on hosts with at least 4 cores; below that the
-  speedup is printed (an oversubscribed pool proves nothing either way),
-  and CI's bench gate likewise skips wall-clock scaling on small runners.
+  speedup is only printed (an oversubscribed pool proves nothing either
+  way), and CI's bench gate likewise skips wall-clock scaling on small
+  runners.  The printed report also times the sequential engine under the
+  same reorder policy, the baseline the pool has to beat to earn its keep.
 """
 
 import os
@@ -27,9 +29,8 @@ import pytest
 from repro.signal.dsl import ProcessBuilder
 from repro.signal.library import modulo_counter_process
 from repro.verification import (
-    SymbolicEngine,
+    IntSymbolicEngine,
     SymbolicIntOptions,
-    SymbolicOptions,
     symbolic_int_explore,
 )
 from repro.verification.parallel import PARALLEL_MODES
@@ -58,8 +59,8 @@ def _shuffled_register(depth: int, seed: int = 11):
     return builder.build()
 
 
-def _options(workers=None, mode="frontier") -> SymbolicOptions:
-    return SymbolicOptions(
+def _options(workers=None, mode="frontier") -> SymbolicIntOptions:
+    return SymbolicIntOptions(
         partition=True,
         reorder="auto",
         reorder_threshold=2000,
@@ -84,8 +85,8 @@ def _pin_equal(sequential, pooled) -> None:
 def test_bench_pooled_image_differential_boolean(depth, mode):
     """Pooled == sequential on the boolean register family, both modes."""
     process = _shuffled_register(depth)
-    sequential = SymbolicEngine(process, _options()).reach()
-    pooled = SymbolicEngine(process, _options(2, mode)).reach()
+    sequential = IntSymbolicEngine(process, _options()).reach()
+    pooled = IntSymbolicEngine(process, _options(2, mode)).reach()
     assert sequential.state_count == 2 ** depth
     _pin_equal(sequential, pooled)
     assert pooled.statistics()["parallel_mode"] == mode
@@ -107,17 +108,19 @@ def test_bench_pooled_image_differential_integer(modulo, mode):
 def test_bench_parallel_image_scaling(depth):
     """4 pooled workers vs 1 on the register family, 2^depth states.
 
-    Both runs go through the pool (so serialisation overhead cancels) and
-    the full-depth speedup is asserted only on >=4-core hosts; smaller
-    hosts and the smoke depth report the measurement instead.
+    Both pooled runs go through the pool (so serialisation overhead
+    cancels) and the full-depth speedup is asserted only on >=4-core hosts.
+    The sequential engine runs beside them under the same reorder policy;
+    its time is reported, never asserted on.
     """
     process = _shuffled_register(depth)
 
     def timed(workers):
         started = perf_counter()
-        result = SymbolicEngine(process, _options(workers)).reach()
+        result = IntSymbolicEngine(process, _options(workers)).reach()
         return result, perf_counter() - started
 
+    _sequential, sequential_seconds = timed(None)
     single, single_seconds = timed(1)
     pooled, pooled_seconds = timed(4)
     assert single.state_count == pooled.state_count == 2 ** depth
@@ -125,14 +128,13 @@ def test_bench_parallel_image_scaling(depth):
 
     speedup = single_seconds / max(pooled_seconds, 1e-9)
     cores = os.cpu_count() or 1
+    print(
+        f"parallel-image scaling report (depth {depth}, {cores} cores): "
+        f"sequential {sequential_seconds:.3f}s, 1 worker {single_seconds:.3f}s, "
+        f"4 workers {pooled_seconds:.3f}s, speedup {speedup:.2f}x"
+    )
     if depth == FULL_DEPTH and cores >= MIN_SCALING_CPUS:
         assert speedup >= SPEEDUP_FLOOR, (
             f"4 workers gave only {speedup:.2f}x over 1 at depth {depth} "
             f"on a {cores}-core host (floor: {SPEEDUP_FLOOR}x)"
-        )
-    else:
-        print(
-            f"parallel-image scaling report (depth {depth}, {cores} cores, "
-            f"assertion skipped): 1 worker {single_seconds:.3f}s, "
-            f"4 workers {pooled_seconds:.3f}s, speedup {speedup:.2f}x"
         )

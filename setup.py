@@ -29,7 +29,7 @@ setup(
     package_dir={"": "src"},
     python_requires=">=3.10",
     install_requires=[],
-    extras_require={"test": ["pytest", "pytest-benchmark"]},
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
     classifiers=[
         "Development Status :: 4 - Beta",
         "Intended Audience :: Science/Research",

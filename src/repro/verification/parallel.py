@@ -1,6 +1,6 @@
 """Multiprocess image computation inside the relational fixpoint.
 
-The transition relation of both symbolic engines is *conjunctively
+The transition relation of the symbolic engine is *conjunctively
 partitioned* (:class:`~repro.verification.relational.PartitionedRelation`),
 and image computation is embarrassingly parallel along two independent
 axes.  This module runs either axis on a persistent pool of spawned worker
@@ -35,8 +35,8 @@ they inherit the parent's attach-time sifted order instead.
 
 Everything is differential by construction: pooled and sequential fixpoints
 run in the *same parent manager* and hash-consing makes equal functions the
-identical node, which ``tests/test_parallel_image.py`` pins across both
-engine corpora (verdicts, state counts, rings, rendered traces).
+identical node, which ``tests/test_parallel_image.py`` pins across the
+boolean and integer corpora (verdicts, state counts, rings, rendered traces).
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
-"""The shared relational fixpoint core of the symbolic engines.
+"""The relational fixpoint core of the symbolic engine.
 
-Both symbolic backends — the Z/3Z boolean engine
-(:mod:`repro.verification.symbolic`) and the finite-integer bit-blaster
-(:mod:`repro.verification.symbolic_int`) — compute reachability the same
-way: a least fixpoint of relational image computation over a transition
-relation ``T(state, signals, state')``, followed by witness extraction,
-frontier-ring counterexample traces and greatest-controllable-invariant
-synthesis over the result.  This module is that machinery, written once:
+The bit-blasted symbolic engine (:mod:`repro.verification.symbolic_int`)
+computes reachability as a least fixpoint of relational image computation
+over a transition relation ``T(state, signals, state')``, followed by
+witness extraction, frontier-ring counterexample traces and
+greatest-controllable-invariant synthesis over the result.  This module is
+that machinery, kept apart from the bit-blasting:
 
 * :class:`PartitionedRelation` — the transition relation kept as a list of
   *conjunctive clusters* instead of one monolithic BDD.  Every equation (or
@@ -28,10 +27,10 @@ synthesis over the result.  This module is that machinery, written once:
 
 * :class:`RelationalReachability` — the result half: witness extraction,
   invariant / reachability checking, ring-walk counterexample traces and
-  supervisory-control synthesis, shared verbatim by both engines' result
-  types.
+  supervisory-control synthesis, written against the engine contract
+  alone.
 
-The engines also cooperate with the BDD manager's dynamic variable
+The engine also cooperates with the BDD manager's dynamic variable
 reordering (:meth:`repro.clocks.bdd.BDDManager.reorder`): durable artifacts
 (clusters, frontier rings, reached sets) are *protected* so sifting
 minimises what actually matters, and prime/unprime bit pairs are declared as
@@ -70,10 +69,9 @@ def _primed(bit: str) -> str:
 
 @dataclass
 class RelationalEngineOptions:
-    """The relational-core knobs shared by every symbolic options dataclass.
+    """The relational-core knobs of the symbolic engine's options.
 
-    ``SymbolicOptions`` and ``SymbolicIntOptions`` inherit these, so the two
-    engines can never drift apart on partitioning/reordering behaviour.
+    ``SymbolicIntOptions`` inherits these and adds the bit-blasting knobs.
 
     Attributes:
         partition: keep the transition relation conjunctively partitioned
@@ -224,16 +222,14 @@ class PartitionedRelation:
 
 
 class RelationalFixpointEngine:
-    """The image-fixpoint core shared by the symbolic engines.
+    """The image-fixpoint core of the symbolic engine.
 
     Subclasses provide the relation itself — ``manager``, ``instantaneous``,
     the partitioned ``relation``, ``initial``, the ``signal_bits`` /
     ``state_bits`` / ``_unprime_map`` layout and ``decode_reaction`` /
     ``decode_state`` — and inherit image computation, the reachability
     fixpoint loop, state counting, reaction enumeration and the statistics
-    hook.  Both the Z/3Z boolean engine and the finite-integer engine run on
-    this exact loop, so a change to the fixpoint (e.g. keeping per-iteration
-    frontiers for counterexample paths) lands in both at once.
+    hook.
     """
 
     #: Pooled-image statistics of the last fixpoint (None = it ran sequentially).
@@ -435,11 +431,9 @@ class RelationalFixpointEngine:
 class RelationalReachability(Reachability):
     """A symbolically computed reachable state set, behind the shared interface.
 
-    The common result type of both symbolic engines: everything here —
-    witness extraction, invariant/reachability checking, frontier-ring trace
-    extraction, controller synthesis — works purely through the
-    :class:`RelationalFixpointEngine` contract, so the boolean and
-    finite-integer results inherit one implementation.
+    Everything here — witness extraction, invariant/reachability checking,
+    frontier-ring trace extraction, controller synthesis — works purely
+    through the :class:`RelationalFixpointEngine` contract.
 
     ``frontiers`` keeps the per-iteration discovery rings of the fixpoint
     (``frontiers[0]`` = initial states): they cost nothing beyond a tuple of

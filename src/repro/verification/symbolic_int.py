@@ -1,23 +1,22 @@
-"""Finite-integer symbolic reachability: bit-blasted BDD model checking.
+"""Symbolic reachability: bit-blasted BDD model checking.
 
-The boolean symbolic engine (:mod:`repro.verification.symbolic`) covers the
-Z/3Z control skeleton only — a process whose equations carry integer data
-(the paper's ``Count``, accumulators, bounded channels) makes the Sigali
-encoding raise :class:`~repro.verification.encoding.EncodingError` and falls
-back to the bounded explicit explorer.  This module lifts that restriction
-for **finite** integer domains: every integer signal with a declared or
-inferred range ``[lo, hi]`` (see :mod:`repro.verification.ranges`) becomes
-``ceil(log2(hi - lo + 1))`` BDD variables holding ``value - lo`` in binary,
-next to the presence/value bits of the boolean and event signals.  SIGNAL
-arithmetic compiles onto the bit-vector circuits of
+This is the symbolic engine of the tool-chain, where the explicit explorer
+(:mod:`repro.verification.explorer`) enumerates states one by one.  It
+bit-blasts the SIGNAL process itself: a boolean signal becomes a presence and
+a value bit, an event a presence bit, and every integer signal with a
+declared or inferred range ``[lo, hi]`` (see :mod:`repro.verification.ranges`)
+``ceil(log2(hi - lo + 1))`` BDD variables holding ``value - lo`` in binary.
+SIGNAL arithmetic compiles onto the bit-vector circuits of
 :mod:`repro.clocks.bdd` — ripple-carry adders for ``+``/``-``, comparator
 chains for ``<``/``<=``/``=``, shift-and-add for ``*``, conditional
 subtraction for ``mod k`` — and the usual relational reading of the language
 turns every equation, clock constraint and stimulus domain into one BDD
-conjunct of the instantaneous relation.  Reachability, invariants and
-controller synthesis then reuse the exact image-fixpoint machinery of the
-boolean engine (this engine's result type *is* a
-:class:`~repro.verification.symbolic.SymbolicReachability`).
+conjunct of the instantaneous relation.  Reachability, invariants, traces and
+controller synthesis are the image-fixpoint machinery of
+:mod:`repro.verification.relational`.  On boolean/event designs the engine
+also answers Sigali polynomial objectives over Z/3Z
+(:meth:`IntSymbolicReachability.check_polynomial_invariant`), the encoding
+:mod:`repro.verification.encoding` defines.
 
 Soundness of declared capacities.  The operational semantics never clips a
 value, so a range declared too small could make the symbolic engine quietly
@@ -36,6 +35,7 @@ truncated explicit exploration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from ..clocks.bdd import BDDManager, BDDNode
@@ -62,12 +62,13 @@ from .ranges import RangeReport, infer_ranges, state_interval
 from .relational import (
     RelationalEngineOptions,
     RelationalFixpointEngine,
+    RelationalReachability,
     _presence,
     _primed,
     _value,
     manager_for_options,
 )
-from .symbolic import SymbolicReachability
+from .z3z import FIELD, Polynomial
 
 #: Hard cap on the width of any one bit-blasted integer signal.
 MAX_SIGNAL_BITS = 24
@@ -337,9 +338,14 @@ class IntSymbolicEngine(RelationalFixpointEngine):
         return names
 
     def _declare_variables(self) -> None:
-        """Declare BDD bits in constraint-locality order (see the boolean engine):
-        each equation's target, operands and memory slots sit next to each
-        other, and a slot's primed bit directly below its unprimed one."""
+        """Declare BDD bits in constraint-locality order.
+
+        Each equation's target, operands and memory slots sit next to each
+        other, which keeps the relation small for pipelined designs such as
+        shift registers.  A slot's primed bit sits directly below its
+        unprimed one, and the pair is a reorder group, so dynamic sifting
+        keeps them adjacent.
+        """
         manager = self.manager
         declared: set[str] = set()
 
@@ -942,8 +948,7 @@ class IntSymbolicEngine(RelationalFixpointEngine):
 
         ``value`` atoms are evaluated by enumerating the signal's (finite)
         representable domain and constraining the bit-vector to the values the
-        atom's Python callable accepts — the capability the boolean engine
-        lacks.
+        atom's Python callable accepts.
         """
         manager = self.manager
         kind = predicate.kind
@@ -1002,6 +1007,36 @@ class IntSymbolicEngine(RelationalFixpointEngine):
             if test(lo + offset)
         )
         return manager.conj(presence, accepted)
+
+    def code_cube(self, name: str, code: int) -> BDDNode:
+        """The signal bits of ``name`` carrying Z/3Z ``code``.
+
+        Code 0 is absent, 1 present and true, 2 present and false.  A present
+        event counts as code 1, so code 2 is empty for an event.
+        """
+        code %= 3
+        if self.compiled.signal_types.get(name) == "event":
+            if code == 2:
+                return self.manager.false
+            return self.manager.cube({_presence(name): code == 1})
+        return self.manager.cube({_presence(name): code != 0, _value(name): code == 1})
+
+    def polynomial_bdd(self, polynomial: Polynomial) -> BDDNode:
+        """BDD of the Sigali constraint ``polynomial = 0`` over the signal bits.
+
+        Built by enumerating the ternary assignments of the polynomial's own
+        support — an objective touches only a handful of signals, so this
+        local enumeration stays tiny even when the state space is huge.
+        """
+        manager = self.manager
+        support = sorted(polynomial.variables())
+        result = manager.false
+        for values in product(FIELD, repeat=len(support)):
+            assignment = dict(zip(support, values))
+            if polynomial.evaluate(assignment) == 0:
+                cube = manager.conj_all(self.code_cube(name, code) for name, code in assignment.items())
+                result = manager.disj(result, cube)
+        return result
 
     # -- image computation --------------------------------------------------------------
 
@@ -1074,15 +1109,17 @@ class IntSymbolicEngine(RelationalFixpointEngine):
 # --------------------------------------------------------------------------- the result
 
 @dataclass
-class IntSymbolicReachability(SymbolicReachability):
-    """A finite-integer symbolic reachable set, behind the shared interface.
+class IntSymbolicReachability(RelationalReachability):
+    """A symbolic reachable set, behind the shared interface.
 
-    Inherits the witness extraction, predicate checking, ring-walk trace
-    extraction and symbolic controller synthesis of the boolean engine's
-    result — only the capability declaration and the completeness accounting
-    differ.
+    Witness extraction, predicate checking, ring-walk trace extraction and
+    symbolic controller synthesis come from
+    :class:`~repro.verification.relational.RelationalReachability`; this
+    class adds the capability declaration, the completeness accounting of
+    the overflow audit and the Sigali polynomial objective.
     """
 
+    engine: IntSymbolicEngine
     overflowed: tuple[str, ...] = ()
 
     @classmethod
@@ -1113,10 +1150,25 @@ class IntSymbolicReachability(SymbolicReachability):
             )
         super()._require_complete(name)
 
-    def check_polynomial_invariant(self, invariant, name: str = "invariant") -> CheckResult:
-        raise TypeError(
-            "polynomial invariants are Z/3Z objects; the finite-integer engine "
-            "checks ReactionPredicate properties (including value atoms)"
+    def check_polynomial_invariant(self, invariant: Polynomial, name: str = "invariant") -> CheckResult:
+        """Sigali-style objective: ``invariant = 0`` on every reachable reaction.
+
+        The polynomial ranges over the Z/3Z codes of the design's signals, so
+        only boolean/event designs qualify.
+        """
+        engine = self.engine
+        if any(kind == "integer" for kind in engine.compiled.signal_types.values()):
+            raise TypeError(
+                f"{engine.name}: polynomial invariants are Z/3Z objects over boolean/event "
+                "signals; a design with integer data checks ReactionPredicate properties "
+                "(including value atoms)"
+            )
+        self._validate_signals(
+            invariant.variables(), engine.signal_names, engine.name, "polynomial invariant"
+        )
+        violating = engine.manager.neg(engine.polynomial_bdd(invariant))
+        return self._witness(
+            violating, name, found_holds=False, missing=lambda: f"{self.state_count} reachable states"
         )
 
 

@@ -302,7 +302,6 @@ ARTIFACT_FINGERPRINTS: dict[str, Callable[["Design"], Any]] = {
         tuple(design.symbolic_int_options.integer_domain),
         sorted(design.symbolic_int_options.ranges.items()),
     ),
-    "symbolic": lambda design: design.symbolic_options,
     "symbolic_int": lambda design: design.symbolic_int_options,
 }
 

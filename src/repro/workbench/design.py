@@ -13,22 +13,19 @@ you have::
 
 Every derived artifact — the compiled process, the clock hierarchy and
 endochrony report, the Z/3Z Sigali encoding, the integer range inference,
-the explicit exploration, the polynomial enumeration, the symbolic BDD
-fixpoints (boolean and finite-integer), the simulator — is computed lazily
+the explicit exploration, the polynomial enumeration, the bit-blasted
+symbolic BDD fixpoint, the simulator — is computed lazily
 and **memoised**, so repeated queries never recompute a fixpoint or
 re-encode; :attr:`artifact_counts` records how often each was actually built
 (the tests pin it to one).
 
 Verification queries go through the backend registry
-(:mod:`repro.workbench.registry`): name an engine (``backend="symbolic"``) or
-let ``backend="auto"`` pick one from declared capabilities.  Queries needing
-concrete data — integer-data processes (where the Z/3Z encoding raises
-:class:`~repro.verification.encoding.EncodingError`) and
-:meth:`~repro.verification.reachability.ReactionPredicate.value` properties —
-go explicit while the potential state space fits the explicit bound, and to
-the bit-blasted finite-integer engine (``symbolic-int``) once it outgrows it
-and the integer ranges are finite; pure boolean/event skeletons promote to
-the Z/3Z symbolic engine the same way.  The batch API — :meth:`check` /
+(:mod:`repro.workbench.registry`): name an engine (``backend="symbolic-int"``)
+or let ``backend="auto"`` pick one from declared capabilities.  Every query
+goes explicit while the potential state space fits the explicit bound, and
+to the bit-blasted symbolic engine (``symbolic-int``) once it outgrows it —
+for integer-data processes, once their integer ranges are finite.  The batch
+API — :meth:`check` /
 :meth:`check_all` — evaluates many properties against one shared reachable
 set and returns a structured :class:`~repro.workbench.report.Report`; with
 ``traces=True`` every failed invariant / satisfied reachability property
@@ -67,7 +64,6 @@ from ..verification.reachability import (
     ReactionPredicate,
 )
 from ..verification.ranges import RangeReport, infer_ranges
-from ..verification.symbolic import SymbolicEngine, SymbolicOptions, SymbolicReachability
 from ..verification.symbolic_int import (
     IntSymbolicEngine,
     IntSymbolicReachability,
@@ -143,7 +139,6 @@ class Design:
         process: Union[ProcessDefinition, CompiledProcess],
         *,
         exploration_options: Optional[ExplorationOptions] = None,
-        symbolic_options: Optional[SymbolicOptions] = None,
         symbolic_int_options: Optional[SymbolicIntOptions] = None,
         polynomial_max_states: int = 5000,
         symbolic_state_threshold: Optional[int] = None,
@@ -170,7 +165,6 @@ class Design:
             process = process.definition
         self.process: ProcessDefinition = process
         self.exploration_options = exploration_options or ExplorationOptions()
-        self.symbolic_options = symbolic_options or SymbolicOptions()
         # The integer engine describes the same stimulus alphabet as the
         # explorer unless explicitly overridden — the property the
         # differential suite relies on.
@@ -178,11 +172,10 @@ class Design:
             integer_domain=self.exploration_options.integer_domain
         )
         if parallel is not None:
-            # One knob for both symbolic engines: pooled image computation
-            # (repro.verification.parallel).  Results are pinned identical to
-            # the sequential fold, so this is purely a resource decision —
-            # and it rides DesignSpec into job workers unchanged.
-            self.symbolic_options = replace(self.symbolic_options, parallel=parallel)
+            # Pooled image computation (repro.verification.parallel).  Results
+            # are pinned identical to the sequential fold, so this is purely a
+            # resource decision — and it rides DesignSpec into job workers
+            # unchanged.
             self.symbolic_int_options = replace(self.symbolic_int_options, parallel=parallel)
         # Which engine CompiledProcess.step runs reactions on ("codegen" by
         # default, "interp" for the reference evaluator); None defers to the
@@ -324,7 +317,7 @@ class Design:
                 "free_clocks": tuple(value.free_clocks),
                 "issues": list(value.issues),
             }
-        if name in ("symbolic", "symbolic_int"):
+        if name == "symbolic_int":
             return value.snapshot()
         # encoding / ranges: plain picklable dataclasses, stored as-is.
         return value
@@ -333,14 +326,6 @@ class Design:
         """Rebuild an artifact from its persisted form (inverse of _to_payload)."""
         if name == "endochrony":
             return EndochronyReport(hierarchy=None, **payload)
-        if name == "symbolic":
-            engine = self._artifacts.get("symbolic_engine")
-            if not isinstance(engine, SymbolicEngine):
-                engine = SymbolicEngine.rehydrated(
-                    self.encoding, self.symbolic_options, payload["engine"]
-                )
-                self._artifacts["symbolic_engine"] = engine
-            return SymbolicReachability.from_snapshot(engine, payload)
         if name == "symbolic_int":
             engine = self._artifacts.get("symbolic_int_engine")
             if not isinstance(engine, IntSymbolicEngine):
@@ -363,18 +348,17 @@ class Design:
     _ARTIFACT_DEPENDENTS = {
         "compiled": ("exploration", "simulator", "ranges"),
         "hierarchy": ("endochrony",),
-        "encoding": ("polynomial", "symbolic_engine", "symbolic_int_engine"),
+        "encoding": ("polynomial", "symbolic_int_engine"),
         "ranges": ("symbolic_int_engine",),
         "symbolic_int_engine": ("symbolic_int",),
-        "symbolic_engine": ("symbolic",),
     }
 
     def invalidate(self, name: Optional[str] = None) -> None:
         """Drop a memoised artifact (or all of them) so it is recomputed.
 
         Dropping an artifact also drops everything derived from it (e.g.
-        ``encoding`` takes ``polynomial``, ``symbolic_engine`` and
-        ``symbolic`` with it), so changed options take effect through the
+        ``ranges`` takes ``symbolic_int_engine`` and ``symbolic_int`` with
+        it), so changed options take effect through the
         whole downstream chain.  The computation *counters* are deliberately
         kept — they record work actually done over the design's lifetime.
         """
@@ -460,18 +444,6 @@ class Design:
         )
 
     @property
-    def symbolic_engine(self) -> SymbolicEngine:
-        """The BDD transition-relation encoding, built on the shared Z/3Z system."""
-        return self._artifact(
-            "symbolic_engine", lambda: SymbolicEngine(self.encoding, self.symbolic_options)
-        )
-
-    @property
-    def symbolic(self) -> SymbolicReachability:
-        """The symbolic reachable set (BDD fixpoint, memoised)."""
-        return self._artifact("symbolic", lambda: self.symbolic_engine.reach())
-
-    @property
     def ranges(self) -> RangeReport:
         """Finite ranges of the integer signals (declared or inferred, memoised).
 
@@ -502,8 +474,18 @@ class Design:
 
     @property
     def symbolic_int(self) -> IntSymbolicReachability:
-        """The finite-integer symbolic reachable set (BDD fixpoint, memoised)."""
+        """The symbolic reachable set (BDD fixpoint, memoised)."""
         return self._artifact("symbolic_int", lambda: self.symbolic_int_engine.reach())
+
+    @property
+    def symbolic_engine(self) -> IntSymbolicEngine:
+        """Alias of :attr:`symbolic_int_engine`."""
+        return self.symbolic_int_engine
+
+    @property
+    def symbolic(self) -> IntSymbolicReachability:
+        """Alias of :attr:`symbolic_int`."""
+        return self.symbolic_int
 
     @property
     def simulator(self) -> Simulator:

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 from ...signal.ast import ProcessDefinition
 from ...verification.explorer import ExplorationOptions
 from ...verification.reachability import ReactionPredicate
-from ...verification.symbolic import SymbolicOptions
 from ...verification.symbolic_int import SymbolicIntOptions
 from ..report import Property, normalise_properties
 
@@ -131,7 +130,6 @@ class DesignSpec:
     process: ProcessDefinition
     source: Optional[str] = None
     exploration_options: Optional[ExplorationOptions] = None
-    symbolic_options: Optional[SymbolicOptions] = None
     symbolic_int_options: Optional[SymbolicIntOptions] = None
     polynomial_max_states: int = 5000
     symbolic_state_threshold: Optional[int] = None
@@ -144,7 +142,6 @@ class DesignSpec:
             process=design.process,
             source=design.source,
             exploration_options=design.exploration_options,
-            symbolic_options=design.symbolic_options,
             symbolic_int_options=design.symbolic_int_options,
             polynomial_max_states=design.polynomial_max_states,
             symbolic_state_threshold=design.symbolic_state_threshold,
@@ -158,7 +155,6 @@ class DesignSpec:
         return Design(
             self.process,
             exploration_options=self.exploration_options,
-            symbolic_options=self.symbolic_options,
             symbolic_int_options=self.symbolic_int_options,
             polynomial_max_states=self.polynomial_max_states,
             symbolic_state_threshold=self.symbolic_state_threshold,

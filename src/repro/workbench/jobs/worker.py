@@ -149,7 +149,7 @@ def worker_main(worker: str, tasks: Any, results: Any, cache_spec: Optional[tupl
                 break
             _run_job(worker, spec, results, store, cancel_cell)
     finally:
-        # A job whose symbolic options asked for pooled image computation
+        # A job whose symbolic-int options asked for pooled image computation
         # spawned image workers *inside this worker*; the shared group is
         # deliberately kept alive between jobs (pool reuse — rehydration is
         # the expensive part), so it is torn down here, with the worker.

@@ -9,7 +9,7 @@ registry filters the entries that can answer the query (integer data needed?
 synthesis needed?) and prefers an exhaustive engine when the design's
 potential state space outgrows the explicit bound.
 
-The default registry carries the paper tool-chain's four engines (every one
+The default registry carries the paper tool-chain's three engines (every one
 of which also extracts counterexample traces, ``traces=True``):
 
 ============ ============================================== =========================
@@ -20,23 +20,22 @@ explicit      :func:`repro.verification.explorer.explore`    integer data, bound
 polynomial    :class:`~repro.verification.encoding.PolynomialReachability`
               over the shared Z/3Z encoding                  boolean skeleton,
                                                              bounded, traces
-symbolic      :func:`repro.verification.symbolic.symbolic_explore`
-              BDD fixpoint over the same encoding            boolean skeleton,
-                                                             exhaustive, synthesis,
-                                                             traces
 symbolic-int  :func:`repro.verification.symbolic_int.symbolic_int_explore`
-              bit-blasted finite-integer BDD fixpoint        integer data,
+              bit-blasted BDD fixpoint                       integer data,
                                                              exhaustive, synthesis,
                                                              traces
 ============ ============================================== =========================
 
+``"symbolic"`` is an alias of ``"symbolic-int"``: :meth:`BackendRegistry.entry`
+resolves it unless a backend is registered under that name itself.
+
 Every backend also reports engine statistics through
 :meth:`~repro.verification.reachability.Reachability.statistics` — BDD
 pressure (peak/live nodes, dynamic reorders, transition-relation clusters)
-for the symbolic engines, state/transition counts for the explicit ones —
+for the symbolic engine, state/transition counts for the explicit ones —
 which batch reports surface as
-:attr:`~repro.workbench.report.Report.engine_statistics`.  Both symbolic
-backends additionally honour ``Design(..., parallel=N | "auto")`` — pooled
+:attr:`~repro.workbench.report.Report.engine_statistics`.  The symbolic
+backend additionally honours ``Design(..., parallel=N | "auto")`` — pooled
 image computation (:mod:`repro.verification.parallel`) whose per-worker
 counters (``parallel_*`` keys) ride the same statistics channel into
 ``Report.summary()``.
@@ -58,6 +57,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 #: A factory builds a Reachability engine from a Design's memoised artifacts.
 BackendFactory = Callable[["Design"], Reachability]
+
+#: Names :meth:`BackendRegistry.entry` resolves onto another registered name.
+ALIASES = {"symbolic": "symbolic-int"}
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ class BackendRegistry:
         """
         if name == "auto":
             raise ValueError("'auto' names the selection policy, not a backend")
-        existing = self.entry(name, default=None)
+        existing = self._named(name)
         if existing is not None and not replace:
             raise ValueError(f"backend {name!r} is already registered (pass replace=True)")
         if existing is not None:
@@ -132,15 +134,18 @@ class BackendRegistry:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def _named(self, name: str) -> Optional[RegisteredBackend]:
+        return next((candidate for candidate in self._entries if candidate.name == name), None)
+
     def names(self) -> list[str]:
         """Registered backend names, in selection-priority order."""
         return [entry.name for entry in self._entries]
 
     def entry(self, name: str, default: object = LookupError) -> RegisteredBackend:
-        """The entry registered under ``name``."""
-        for candidate in self._entries:
-            if candidate.name == name:
-                return candidate
+        """The entry registered under ``name``, or under the name it aliases."""
+        found = self._named(name) or self._named(ALIASES.get(name, name))
+        if found is not None:
+            return found
         if default is LookupError:
             raise LookupError(f"no backend named {name!r} (registered: {self.names()})")
         return default  # type: ignore[return-value]
@@ -195,10 +200,6 @@ def _polynomial_factory(design: "Design") -> Reachability:
     return design.polynomial
 
 
-def _symbolic_factory(design: "Design") -> Reachability:
-    return design.symbolic
-
-
 def _symbolic_int_factory(design: "Design") -> Reachability:
     return design.symbolic_int
 
@@ -206,14 +207,12 @@ def _symbolic_int_factory(design: "Design") -> Reachability:
 def _default_entries() -> list[RegisteredBackend]:
     from ..verification.encoding import PolynomialReachability
     from ..verification.explorer import ExplorationResult
-    from ..verification.symbolic import SymbolicReachability
     from ..verification.symbolic_int import IntSymbolicReachability
 
     return [
         RegisteredBackend("explicit", _explicit_factory, ExplorationResult.capabilities(), 0),
         RegisteredBackend("polynomial", _polynomial_factory, PolynomialReachability.capabilities(), 1),
-        RegisteredBackend("symbolic", _symbolic_factory, SymbolicReachability.capabilities(), 2),
-        RegisteredBackend("symbolic-int", _symbolic_int_factory, IntSymbolicReachability.capabilities(), 3),
+        RegisteredBackend("symbolic-int", _symbolic_int_factory, IntSymbolicReachability.capabilities(), 2),
     ]
 
 

@@ -35,8 +35,6 @@ from repro.signal.library import (
 from repro.verification import (
     ReactionPredicate as P,
     SymbolicIntOptions,
-    SymbolicOptions,
-    symbolic_explore,
     symbolic_int_explore,
 )
 from repro.verification.parallel import (
@@ -97,9 +95,9 @@ def _pin_equal(sequential, pooled, predicate):
 class TestBooleanDifferential:
     def test_pooled_fixpoint_equals_sequential(self, label, factory, mode, parallel_workers):
         process = factory()
-        sequential = symbolic_explore(process)
-        pooled = symbolic_explore(
-            process, SymbolicOptions(parallel=parallel_workers, parallel_mode=mode)
+        sequential = symbolic_int_explore(process)
+        pooled = symbolic_int_explore(
+            process, SymbolicIntOptions(parallel=parallel_workers, parallel_mode=mode)
         )
         _pin_equal(sequential, pooled, _witness_predicate(process))
         stats = pooled.statistics()
@@ -126,14 +124,14 @@ class TestIntegerDifferential:
 
 class TestStatisticsSurface:
     def test_sequential_results_carry_no_parallel_keys(self):
-        stats = symbolic_explore(alternator_process()).statistics()
+        stats = symbolic_int_explore(alternator_process()).statistics()
         assert not any(key.startswith("parallel_") for key in stats)
 
     def test_global_counters_track_pool_use(self, parallel_workers):
         reset_global_stats()
         assert global_stats() == {"workers": 0, "images": 0}
-        result = symbolic_explore(
-            boolean_shift_register_process(4), SymbolicOptions(parallel=parallel_workers)
+        result = symbolic_int_explore(
+            boolean_shift_register_process(4), SymbolicIntOptions(parallel=parallel_workers)
         )
         counters = global_stats()
         assert counters["workers"] == parallel_workers
@@ -143,7 +141,6 @@ class TestStatisticsSurface:
         from repro.workbench import Design
 
         design = Design.from_process(boolean_shift_register_process(4), parallel=2)
-        assert design.symbolic_options.parallel == 2
         assert design.symbolic_int_options.parallel == 2
         report = design.check_all(reachables={"tail": P.present("s3")}, backend="symbolic")
         assert report.all_hold
@@ -180,9 +177,9 @@ class TestResolveWorkers:
 
     def test_bad_options_fail_before_any_bdd_work(self):
         with pytest.raises(ValueError):
-            symbolic_explore(alternator_process(), SymbolicOptions(parallel=-2))
+            symbolic_int_explore(alternator_process(), SymbolicIntOptions(parallel=-2))
         with pytest.raises(ValueError, match="parallel_mode"):
-            symbolic_explore(alternator_process(), SymbolicOptions(parallel_mode="bogus"))
+            symbolic_int_explore(alternator_process(), SymbolicIntOptions(parallel_mode="bogus"))
 
 
 class TestShatterFrontier:
@@ -272,10 +269,10 @@ class TestWorkerGroup:
             WorkerGroup(0)
 
     def test_engines_reuse_one_pool_across_fixpoints(self, parallel_workers):
-        options = SymbolicOptions(parallel=parallel_workers)
+        options = SymbolicIntOptions(parallel=parallel_workers)
         group = shared_group(parallel_workers)
-        first = symbolic_explore(boolean_shift_register_process(3), options)
-        second = symbolic_explore(alternator_process(), options)
+        first = symbolic_int_explore(boolean_shift_register_process(3), options)
+        second = symbolic_int_explore(alternator_process(), options)
         assert shared_group(parallel_workers) is group
         assert not group.closed
         assert first.state_count == 8

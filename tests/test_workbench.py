@@ -100,13 +100,13 @@ class TestMemoisation:
         )
         assert len(report) == 5
         assert report.all_hold
-        assert design.artifact_counts["encoding"] == 1
-        assert design.artifact_counts["symbolic_engine"] == 1
-        assert design.artifact_counts["symbolic"] == 1
+        assert design.artifact_counts["compiled"] == 1
+        assert design.artifact_counts["symbolic_int_engine"] == 1
+        assert design.artifact_counts["symbolic_int"] == 1
         # A second batch reuses everything.
         again = design.check_all(invariants=invariants, backend="symbolic")
         assert again.all_hold
-        assert design.artifact_counts["symbolic"] == 1
+        assert design.artifact_counts["symbolic_int"] == 1
 
     def test_trace_extraction_reuses_the_memoised_fixpoint(self):
         """Storing frontiers is free: a traces=True batch (and a repeat of it)
@@ -116,12 +116,12 @@ class TestMemoisation:
         properties = {"tail-fires": P.present("s4")}
         report = design.check_all(reachables=properties, backend="symbolic", traces=True)
         assert report["tail-fires"].trace is not None
-        assert design.artifact_counts["symbolic"] == 1
-        assert design.artifact_counts["symbolic_engine"] == 1
+        assert design.artifact_counts["symbolic_int"] == 1
+        assert design.artifact_counts["symbolic_int_engine"] == 1
         again = design.check_all(reachables=properties, backend="symbolic", traces=True)
         assert again["tail-fires"].trace is not None
-        assert design.artifact_counts["symbolic"] == 1
-        assert design.artifact_counts["encoding"] == 1
+        assert design.artifact_counts["symbolic_int"] == 1
+        assert design.artifact_counts["compiled"] == 1
 
     def test_explicit_backend_explores_once(self):
         design = Design.from_process(alternator_process())
@@ -164,33 +164,30 @@ class TestMemoisation:
 
     def test_invalidate_cascades_to_dependents(self):
         """Dropping an upstream artifact drops everything derived from it."""
-        from repro.verification import SymbolicOptions
+        from repro.verification import SymbolicIntOptions
 
         design = Design.from_process(boolean_shift_register_process(5))
         assert design.symbolic.complete
-        design.symbolic_options = SymbolicOptions(max_iterations=1)
-        design.invalidate("symbolic_engine")
+        design.symbolic_int_options = SymbolicIntOptions(max_iterations=1)
+        design.invalidate("symbolic_int_engine")
         # The fixpoint must rebuild on a fresh engine carrying the new options.
         assert not design.symbolic.complete
 
     def test_invalidate_cascade(self):
         """invalidate("encoding") must drop every verification artifact built
-        over it — including the finite-integer engine and fixpoint, which the
-        auto policy routes through the same encodability probe, and the
-        frontier rings the fixpoints store for trace extraction (they live on
-        the symbolic artifacts, so they go with them)."""
+        over it — including the symbolic engine and fixpoint, which the auto
+        policy routes through the same encodability probe, and the frontier
+        rings the fixpoint stores for trace extraction (they live on the
+        symbolic artifact, so they go with it)."""
         design = Design.from_process(boolean_shift_register_process(5))
         design.encoding
         design.polynomial
         rings = design.symbolic.frontiers
-        int_rings = design.symbolic_int.frontiers
-        assert rings and int_rings
+        assert rings
         design.invalidate("encoding")
         for artifact in (
             "encoding",
             "polynomial",
-            "symbolic_engine",
-            "symbolic",
             "symbolic_int_engine",
             "symbolic_int",
         ):
@@ -240,7 +237,7 @@ class TestAutoSelection:
         )
         assert report.backend_name == "explicit"
         assert report.all_hold
-        assert "symbolic" not in design.artifact_counts
+        assert "symbolic_int" not in design.artifact_counts
 
     def test_large_boolean_process_picks_symbolic(self):
         """2^14+ potential states: auto goes symbolic, never explores explicitly."""
@@ -248,7 +245,7 @@ class TestAutoSelection:
         report = design.check_all(
             invariants={"tail-needs-head": P.present("s13").implies(P.present("x"))}
         )
-        assert report.backend_name == "symbolic"
+        assert report.backend_name == "symbolic-int"
         assert report.state_count == 2 ** 14
         assert report.all_hold
         assert "exploration" not in design.artifact_counts
@@ -260,8 +257,8 @@ class TestAutoSelection:
 
     def test_value_predicates_force_concrete_backend(self):
         """A value atom needs a concrete backend: explicit while the design is
-        small, the exhaustive finite-integer engine once it outgrows the
-        explicit bound (the Z/3Z symbolic engine can never answer it)."""
+        small, the exhaustive symbolic engine once it outgrows the explicit
+        bound (the Z/3Z polynomial enumerator can never answer it)."""
         small = Design.from_process(boolean_shift_register_process(4))
         assert small.backend_info(
             "auto", predicates=(P.value("x", lambda v: v is True),)
@@ -274,24 +271,24 @@ class TestAutoSelection:
     def test_synthesis_query_skips_backends_without_synthesis(self):
         registry = BackendRegistry()
         from repro.verification.encoding import PolynomialReachability
-        from repro.verification.symbolic import SymbolicReachability
+        from repro.verification.symbolic_int import IntSymbolicReachability
 
         registry.register_backend(
             "polynomial", lambda d: d.polynomial, PolynomialReachability.capabilities()
         )
         registry.register_backend(
-            "symbolic", lambda d: d.symbolic, SymbolicReachability.capabilities()
+            "symbolic-int", lambda d: d.symbolic_int, IntSymbolicReachability.capabilities()
         )
         design = Design.from_process(alternator_process(), registry=registry)
         entry = design.backend_info("auto", needs_synthesis=True)
-        assert entry.name == "symbolic"
+        assert entry.name == "symbolic-int"
 
     def test_auto_refuses_when_nothing_matches(self):
         registry = BackendRegistry()
-        from repro.verification.symbolic import SymbolicReachability
+        from repro.verification.encoding import PolynomialReachability
 
         registry.register_backend(
-            "symbolic", lambda d: d.symbolic, SymbolicReachability.capabilities()
+            "polynomial", lambda d: d.polynomial, PolynomialReachability.capabilities()
         )
         design = Design.from_process(count_process(), registry=registry)
         with pytest.raises(LookupError):
@@ -301,7 +298,7 @@ class TestAutoSelection:
 class TestRegistry:
     def test_default_registry_names_and_capabilities(self):
         registry = default_registry()
-        assert registry.names() == ["explicit", "polynomial", "symbolic", "symbolic-int"]
+        assert registry.names() == ["explicit", "polynomial", "symbolic-int"]
         assert registry.capabilities("explicit").integer_data
         assert registry.capabilities("explicit").synthesis
         assert not registry.capabilities("polynomial").synthesis
@@ -309,6 +306,21 @@ class TestRegistry:
         assert registry.capabilities("symbolic-int").integer_data
         assert not registry.capabilities("symbolic-int").bounded
         assert registry.capabilities("symbolic-int").synthesis
+
+    def test_symbolic_is_an_alias_of_symbolic_int(self):
+        registry = default_registry()
+        assert registry.entry("symbolic") is registry.entry("symbolic-int")
+        design = Design.from_process(boolean_shift_register_process(4))
+        report = design.check(P.present("s3").implies(P.present("x")), backend="symbolic")
+        assert report.backend_name == "symbolic-int"
+        assert design.symbolic is design.symbolic_int
+        assert design.symbolic_engine is design.symbolic_int_engine
+
+    def test_a_registered_name_shadows_the_alias(self):
+        registry = default_registry().copy()
+        registry.register_backend("symbolic", lambda d: d.polynomial, BackendCapabilities())
+        assert registry.entry("symbolic").name == "symbolic"
+        assert registry.entry("symbolic-int").name == "symbolic-int"
 
     def test_register_custom_backend(self):
         registry = default_registry().copy()
@@ -445,7 +457,7 @@ class TestBatchAPI:
         process = boolean_shift_register_process(10)
         design = Design.from_process(process)
         verdict = design.synthesise(P.absent("s9") | P.present("x"), ["x"])
-        assert design.backend_info("auto", needs_synthesis=True).name == "symbolic"
+        assert design.backend_info("auto", needs_synthesis=True).name == "symbolic-int"
         small = Design.from_process(boolean_shift_register_process(3))
         explicit = small.synthesise(P.absent("s2") | P.present("x"), ["x"], backend="explicit")
         assert verdict.success == explicit.success
@@ -457,7 +469,7 @@ class TestLegacyWrappers:
         verdict = invariant_holds(design, P.present("s11").implies(P.present("x")))
         assert verdict.holds
         # The wrapper rode the facade: symbolic artifacts, no explicit LTS.
-        assert "symbolic" in design.artifact_counts
+        assert "symbolic_int" in design.artifact_counts
         assert "exploration" not in design.artifact_counts
 
     def test_reaction_reachable_accepts_design(self):
@@ -465,14 +477,12 @@ class TestLegacyWrappers:
         assert reaction_reachable(design, P.present("flip")).holds
 
     def test_wrapper_routes_value_atoms_to_concrete_backend(self):
-        """A value atom on a large boolean design must skip the Z/3Z symbolic
-        engine (which rejects it) for a concrete one — now the exhaustive
-        finite-integer engine rather than a truncating explicit exploration."""
+        """A value atom on a large boolean design goes to the exhaustive
+        symbolic engine rather than a truncating explicit exploration."""
         design = Design.from_process(boolean_shift_register_process(10))
         predicate = P.absent("x") | P.value("x", lambda v: isinstance(v, bool))
         assert invariant_holds(design, predicate).holds
         assert "symbolic_int" in design.artifact_counts
-        assert "symbolic" not in design.artifact_counts
         assert "exploration" not in design.artifact_counts
 
     def test_synthesise_with_accepts_design(self):
@@ -522,13 +532,6 @@ class TestValuePredicate:
         assert predicate.has_value_atoms()
         assert (~predicate).has_value_atoms()
         assert not P.present("load").has_value_atoms()
-
-    def test_symbolic_engine_rejects_value_atoms(self):
-        from repro.verification import SymbolicEncodingError, symbolic_explore
-
-        result = symbolic_explore(boolean_shift_register_process(3))
-        with pytest.raises(SymbolicEncodingError):
-            result.check_invariant(P.value("x", bool))
 
     def test_explicit_check_with_value_atom_through_facade(self):
         builder = ProcessBuilder("Adder")

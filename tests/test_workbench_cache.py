@@ -28,7 +28,6 @@ from repro.verification import (
     ReactionPredicate,
 )
 from repro.clocks.bdd import NodeBudgetExceeded
-from repro.verification.symbolic import SymbolicOptions
 from repro.verification.symbolic_int import SymbolicIntOptions
 from repro.workbench import (
     Design,
@@ -342,14 +341,14 @@ class TestFailureClassification:
         store = MemoryArtifactStore()
         design = Design.from_process(
             boolean_shift_register_process(4),
-            symbolic_options=SymbolicOptions(node_budget=40, reorder="off"),
+            symbolic_int_options=SymbolicIntOptions(node_budget=40, reorder="off"),
             cache=store,
         )
         with pytest.raises(NodeBudgetExceeded):
             design.symbolic
         # The failure was neither memoised nor persisted as an error payload.
-        assert artifact_key(design, "symbolic") not in store
-        design.symbolic_options.node_budget = None
+        assert artifact_key(design, "symbolic_int") not in store
+        design.symbolic_int_options.node_budget = None
         result = design.symbolic  # no invalidate() in between
         assert result.fixpoint
         assert result.state_count > 0
@@ -396,8 +395,8 @@ class TestConcurrency:
         for thread in threads:
             thread.join()
         assert errors == []
-        assert design.artifact_counts["symbolic"] == 1
-        assert design.artifact_counts["symbolic_engine"] == 1
+        assert design.artifact_counts["symbolic_int"] == 1
+        assert design.artifact_counts["symbolic_int_engine"] == 1
 
     def test_concurrent_disk_writes_leave_a_readable_entry(self, tmp_path):
         store = DiskArtifactStore(tmp_path)
@@ -442,7 +441,7 @@ class TestWarmDifferential:
             ("chain-causality", P.present("s3").implies(P.present("x"))),
             ("tail-never-fires", P.absent("s3")),  # fails: counterexample trace
         ]
-        options = dict(symbolic_options=SymbolicOptions(reorder="off"))
+        options = dict(symbolic_int_options=SymbolicIntOptions(reorder="off"))
 
         cold = Design.from_process(boolean_shift_register_process(4), cache=store, **options)
         cold_report = cold.check(*properties, backend="symbolic", traces=True)
@@ -451,7 +450,7 @@ class TestWarmDifferential:
         warm = Design.from_process(boolean_shift_register_process(4), cache=store, **options)
         warm_report = warm.check(*properties, backend="symbolic", traces=True)
         assert warm.cache_stats["hits"] > 0
-        assert "symbolic_engine" not in warm.artifact_counts  # rehydrated, not rebuilt
+        assert "symbolic_int_engine" not in warm.artifact_counts  # rehydrated, not rebuilt
 
         assert _verdict_table(warm_report) == _verdict_table(cold_report)
         assert warm_report.state_count == cold_report.state_count
