@@ -238,6 +238,10 @@ def check_rtl_bisimulation(
     reachable, observation-projected systems is the paper's RTL-level
     obligation; passing ``implementation`` lets the tests and benchmarks
     substitute a mutated FSM and watch the check fail.
+
+    Raises:
+        BoundReached: when either exploration hits ``max_states`` — a
+            verdict on a truncated LTS would be about a different system.
     """
     from .rtl_level import rtl_reference_process
 
@@ -247,6 +251,7 @@ def check_rtl_bisimulation(
         driven_signals=["clk", "rst", "start", "ack_idone", "inport"],
         observed=["outport", "done", "ack_istart"],
         max_states=max_states,
+        on_bound="raise",
     )
     implementation_lts = explore(implementation or rtl_ones_process(), options).lts
     reference_lts = explore(rtl_reference_process(), options).lts

@@ -43,21 +43,14 @@ def _partition_refinement(lts: LTS, states: Iterable[int]) -> dict[int, int]:
     changed = True
     while changed:
         changed = False
-        signatures: dict[int, tuple] = {}
-        for state in state_list:
-            moves = {(transition.label, block[transition.target]) for transition in lts.transitions_from(state)}
-            signature = tuple(
-                sorted(moves, key=lambda item: (sorted((n, repr(v)) for n, v in item[0]), item[1]))
-            )
-            signatures[state] = (block[state], signature)
-        # Re-number blocks by signature.
+        # A state's signature is its block and the set of its (label, target
+        # block) moves; labels are frozensets, so the set hashes directly.
+        # Blocks are re-numbered by signature, in state order.
         mapping: dict[tuple, int] = {}
         new_block: dict[int, int] = {}
         for state in state_list:
-            signature = signatures[state]
-            if signature not in mapping:
-                mapping[signature] = len(mapping)
-            new_block[state] = mapping[signature]
+            moves = frozenset((t.label, block[t.target]) for t in lts.transitions_from(state))
+            new_block[state] = mapping.setdefault((block[state], moves), len(mapping))
         if new_block != block:
             block = new_block
             changed = True

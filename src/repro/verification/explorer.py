@@ -15,6 +15,19 @@ exploration remains the reference semantics and the oracle the differential
 test suite (``tests/test_symbolic_vs_explicit.py``) checks the symbolic
 engine against; prefer the symbolic engine for large designs.
 
+The alphabet is the product of the driven signals' domains minus the
+combinations the process's ``^=`` constraints refuse in every state.  A
+stimulus fixes the presence of every driven signal, and a reaction only
+resolves when each ``^=`` constraint finds its operands all present or all
+absent.  So when two driven signals are tied by ``^=``, directly or through
+locals (``a ^= l``, ``l ^= b``), a stimulus that sets one present and the
+other absent makes ``step`` raise
+:class:`~repro.simulation.compiler.ConsistencyError` whatever the memory.
+Such stimuli are never tried.  Dropping them is exact and keeps the product
+order, so the explored LTS is the one the full product gives; only
+``rejected_stimuli`` shrinks.  A product exploration drops what either side
+refuses.
+
 Explorations that hit ``max_states`` are never silently truncated: the result
 carries ``bound_reached`` (and ``complete = False``), and
 ``ExplorationOptions(on_bound="raise")`` turns the truncation into a
@@ -28,7 +41,7 @@ from itertools import product
 from typing import Any, Mapping, Optional, Sequence
 
 from ..core.values import ABSENT, EVENT
-from ..signal.ast import ProcessDefinition
+from ..signal.ast import ProcessDefinition, SignalRef
 from ..simulation.compiler import CompiledProcess, SimulationError
 from ..simulation.status import PRESENT
 from .invariants import CheckResult, check_invariant_labels, check_reaction_reachable
@@ -55,6 +68,9 @@ class ExplorationOptions:
         observed: signals recorded in the transition labels (default: interface).
         max_states: exploration bound (states beyond the bound are not expanded).
         allow_silent: whether the all-absent stimulus is part of the alphabet.
+            Stimuli giving different presences to driven signals tied by
+            ``^=`` are never part of it: ``step`` refuses them in every
+            state, so leaving them out changes no explored LTS.
         on_bound: what to do when ``max_states`` is hit — ``"flag"`` records
             ``bound_reached`` on the result, ``"raise"`` raises
             :class:`BoundReached`.
@@ -87,6 +103,9 @@ class ExplorationResult(Reachability):
     complete: bool = True
     bound_reached: bool = False
     rejected_stimuli: int = 0
+    #: Size of the stimulus alphabet stepped in every state, after dropping
+    #: the combinations the ``^=`` constraints always refuse.
+    stimuli: int = 0
     observed: Optional[tuple[str, ...]] = None
     #: Which engine resolved the reactions (``CompiledProcess.step_engine_info()``):
     #: the ``compile=`` knob plus kernel count and compile time under codegen.
@@ -114,10 +133,12 @@ class ExplorationResult(Reachability):
         return BackendCapabilities(integer_data=True, bounded=True, synthesis=True, traces=True)
 
     def statistics(self) -> dict:
-        """Explicit-engine statistics: explored states, transitions, rejections."""
+        """Explicit-engine statistics: explored states, transitions, the
+        stimulus alphabet and the stimuli ``step`` still rejected."""
         stats = {
             "states": self.state_count,
             "transitions": self.transition_count,
+            "stimuli": self.stimuli,
             "rejected_stimuli": self.rejected_stimuli,
             "bound_reached": self.bound_reached,
         }
@@ -192,6 +213,51 @@ def _stimulus_domain(compiled: CompiledProcess, name: str, integers: Sequence[in
     if signal_type == "boolean":
         return [ABSENT, True, False]
     return [ABSENT, *integers]
+
+
+def _synchronous_groups(compiled: CompiledProcess, driven: Sequence[str]) -> list[list[int]]:
+    """Positions of the driven signals that ``compiled``'s ``^=`` constraints
+    tie to one presence, one list per class of two or more.
+
+    One union-find pass joins the signal operands of every ``^=`` constraint,
+    locals included, so ``a ^= l`` and ``l ^= b`` put ``a`` and ``b`` in one
+    class.
+    """
+    parent: dict[str, str] = {}
+
+    def find(name: str) -> str:
+        while parent.get(name, name) != name:
+            name = parent[name]
+        return name
+
+    for constraint in compiled.constraints:
+        if constraint.kind != "=":
+            continue
+        names = [op.name for op in constraint.operands if isinstance(op, SignalRef)]
+        for name in names[1:]:
+            parent[find(name)] = find(names[0])
+    groups: dict[str, list[int]] = {}
+    for position, name in enumerate(driven):
+        groups.setdefault(find(name), []).append(position)
+    return [group for group in groups.values() if len(group) > 1]
+
+
+def _alphabet(
+    processes: Sequence[CompiledProcess], driven: Sequence[str], options: ExplorationOptions
+) -> list[dict[str, Any]]:
+    """The stimuli an exploration steps: the product of the driven domains, in
+    product order, minus the combinations that split a synchronous group of
+    some process (see the module docstring)."""
+    domains = [_stimulus_domain(processes[0], name, options.integer_domain) for name in driven]
+    groups = [group for compiled in processes for group in _synchronous_groups(compiled, driven)]
+    stimuli: list[dict[str, Any]] = []
+    for combination in product(*domains):
+        present = [value is not ABSENT for value in combination]
+        if not options.allow_silent and not any(present):
+            continue
+        if all(len({present[position] for position in group}) == 1 for group in groups):
+            stimuli.append(dict(zip(driven, combination)))
+    return stimuli
 
 
 def _freeze(memory: Mapping[str, Any]) -> tuple:
@@ -272,16 +338,11 @@ def explore(
     if unknown:
         raise ValueError(f"{compiled.name}: cannot observe unknown signals {unknown}")
 
-    domains = [_stimulus_domain(compiled, name, options.integer_domain) for name in driven]
-    stimuli: list[dict[str, Any]] = []
-    for combination in product(*domains) if driven else [()]:
-        stimulus = dict(zip(driven, combination))
-        if not options.allow_silent and all(v is ABSENT for v in stimulus.values()):
-            continue
-        stimuli.append(stimulus)
-
+    stimuli = _alphabet([compiled], driven, options)
     lts = LTS(compiled.name)
-    result = ExplorationResult(lts, observed=tuple(observed), step_engine=compiled.step_engine_info())
+    result = ExplorationResult(
+        lts, observed=tuple(observed), stimuli=len(stimuli), step_engine=compiled.step_engine_info()
+    )
 
     initial_memory = compiled.initial_state()
     initial = lts.add_state(_freeze(initial_memory), initial=True)
@@ -333,9 +394,6 @@ def explore_product(
             raise ValueError(f"{compiled.name}: cannot drive unknown signals {unknown}")
     known = set(left_compiled.signal_names) | set(right_compiled.signal_names)
 
-    domains = [_stimulus_domain(left_compiled, name, options.integer_domain) for name in driven]
-    stimuli = [dict(zip(driven, combination)) for combination in product(*domains)] if driven else [{}]
-
     observed = list(options.observed) if options.observed is not None else sorted(
         set(left_compiled.output_names) | set(right_compiled.output_names) | set(driven)
     )
@@ -345,9 +403,13 @@ def explore_product(
             f"{left_compiled.name}×{right_compiled.name}: cannot observe unknown signals {unknown}"
         )
 
+    stimuli = _alphabet([left_compiled, right_compiled], driven, options)
     lts = LTS(f"{left_compiled.name}×{right_compiled.name}")
     result = ExplorationResult(
-        lts, observed=tuple(observed), step_engine=left_compiled.step_engine_info()
+        lts,
+        observed=tuple(observed),
+        stimuli=len(stimuli),
+        step_engine=left_compiled.step_engine_info(),
     )
     initial_payload = (_freeze(left_compiled.initial_state()), _freeze(right_compiled.initial_state()))
     initial = lts.add_state(initial_payload, initial=True)

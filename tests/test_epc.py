@@ -27,6 +27,7 @@ from repro.epc import (
 )
 from repro.signal.printer import render_process
 from repro.simulation import Simulator
+from repro.verification import BoundReached
 
 WORKLOAD = [13, 7, 0, 255, 128]
 EXPECTED_COUNTS = [reference_ones(word) for word in WORKLOAD]
@@ -170,3 +171,9 @@ class TestRefinementChain:
 
     def test_rtl_bisimulation_against_reference(self):
         assert check_rtl_bisimulation(width=1).bisimilar
+
+    def test_truncated_rtl_bisimulation_refuses_a_verdict(self):
+        # 100 states cut the width-3 implementation (209 states) short; a
+        # verdict on the partial LTS used to read "NOT bisimilar".
+        with pytest.raises(BoundReached, match="max_states=100"):
+            check_rtl_bisimulation(width=3, max_states=100)

@@ -1,16 +1,23 @@
 """Tests for the verification substrate: LTS, exploration, invariants,
 bisimulation, observer, controller synthesis and the Z/3Z encoding."""
 
+import itertools
+
 import pytest
 
 from repro.core.values import ABSENT, EVENT
+from repro.epc import rtl_ones_process, rtl_reference_process
+from repro.signal.dsl import ProcessBuilder
 from repro.signal.library import (
     alternator_process,
     boolean_shift_register_process,
+    bounded_channel_process,
     edge_detector_process,
     modulo_counter_process,
+    switch_process,
+    synchronizer_process,
 )
-from repro.simulation import Trace
+from repro.simulation import CompiledProcess, SimulationError, Trace
 from repro.verification import (
     BoundReached,
     ExplorationOptions,
@@ -163,6 +170,169 @@ class TestExplorer:
         )
         with pytest.raises(ValueError, match="drive"):
             explore_product(left, right, shared_driven=["tick_l"])
+
+
+RTL_DRIVEN = ["clk", "rst", "start", "ack_idone", "inport"]
+RTL_OBSERVED = ["outport", "done", "ack_istart"]
+
+
+def _locally_synchronised_process():
+    """``a`` and ``c`` are synchronised only through the local ``l``."""
+    builder = ProcessBuilder("LocallySynchronised")
+    a = builder.input("a", "boolean")
+    c = builder.input("c", "event")
+    x = builder.output("x", "boolean")
+    link = builder.local("l", "boolean")
+    builder.define(link, a.delayed(False))
+    builder.define(x, link)
+    builder.synchronize(a, link)
+    builder.synchronize(link, c)
+    return builder.build()
+
+
+def _clock_inclusion_process():
+    """``a ^< l`` with ``l ^= b``, and ``b ^> c``: inclusions, which the
+    alphabet leaves to ``step``, next to a ``^=`` class."""
+    builder = ProcessBuilder("ClockInclusion")
+    a = builder.input("a", "event")
+    b = builder.input("b", "boolean")
+    c = builder.input("c", "integer")
+    y = builder.output("y", "boolean")
+    link = builder.local("l", "boolean")
+    builder.define(link, b)
+    builder.define(y, b.when(a.clock()))
+    builder.synchronize(link, b)
+    builder.constrain(a, link, kind="<")
+    builder.constrain(b, c, kind=">")
+    return builder.build()
+
+
+def _full_alphabet(compiled, driven, integers):
+    """Every combination of the driven domains, nothing pruned."""
+    domains = []
+    for name in driven:
+        kind = compiled.signal_types[name]
+        if kind == "event":
+            domains.append([ABSENT, EVENT])
+        elif kind == "boolean":
+            domains.append([ABSENT, True, False])
+        else:
+            domains.append([ABSENT, *integers])
+    return [dict(zip(driven, combination)) for combination in itertools.product(*domains)]
+
+
+def _assert_alphabet_is_exact(result, sides, driven, integers=(0, 1)):
+    """Step every explored memory through the full product by hand: the
+    accepted (label, successor payload) pairs, in product order, must be the
+    state's transitions — pruning dropped only stimuli ``step`` refuses."""
+    assert result.complete
+    full = _full_alphabet(sides[0], driven, integers)
+    assert result.stimuli <= len(full)
+    lts = result.lts
+    for state in lts.states:
+        memory = result.memories[state]
+        memories = [memory] if len(sides) == 1 else [memory["left"], memory["right"]]
+        accepted = []
+        for stimulus in full:
+            try:
+                stepped = [side.step(m, stimulus) for side, m in zip(sides, memories)]
+            except SimulationError:
+                continue
+            instant = {}
+            for _, side_instant in reversed(stepped):
+                instant.update(side_instant)
+            payloads = tuple(tuple(sorted(new_memory.items())) for new_memory, _ in stepped)
+            accepted.append(
+                (make_label(instant, result.observed), payloads[0] if len(sides) == 1 else payloads)
+            )
+        assert [(t.label, lts.payload(t.target)) for t in lts.transitions_from(state)] == accepted
+
+
+class TestStimulusAlphabet:
+    """Stimuli the clock constraints always refuse are never tried, and
+    dropping them changes no explored transition."""
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("factory", [rtl_ones_process, rtl_reference_process])
+    def test_rtl_fsms(self, factory, width):
+        integers = tuple(range(2**width))
+        compiled = CompiledProcess(factory())
+        options = ExplorationOptions(
+            integer_domain=integers, driven_signals=RTL_DRIVEN, observed=RTL_OBSERVED
+        )
+        result = explore(compiled, options)
+        # Every driven wire is synchronous to clk: only "all absent" and the
+        # clocked combinations survive, and every one of them is accepted.
+        assert result.rejected_stimuli == 0
+        assert result.stimuli == 1 + 2**3 * len(integers)
+        _assert_alphabet_is_exact(result, [compiled], RTL_DRIVEN, integers)
+
+    def test_rtl_product(self):
+        left = CompiledProcess(rtl_ones_process())
+        right = CompiledProcess(rtl_reference_process())
+        options = ExplorationOptions(observed=RTL_OBSERVED)
+        result = explore_product(left, right, RTL_DRIVEN, options)
+        assert result.rejected_stimuli == 0
+        _assert_alphabet_is_exact(result, [left, right], RTL_DRIVEN)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            alternator_process,
+            lambda: modulo_counter_process(3),
+            lambda: bounded_channel_process(2),
+            switch_process,
+            synchronizer_process,
+            _locally_synchronised_process,
+            _clock_inclusion_process,
+        ],
+        ids=["alternator", "modulo3", "channel2", "switch", "synchronizer", "local", "inclusion"],
+    )
+    def test_library_and_hand_built(self, factory):
+        compiled = CompiledProcess(factory())
+        result = explore(compiled)
+        _assert_alphabet_is_exact(result, [compiled], list(compiled.input_names))
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (alternator_process, alternator_process),
+            (lambda: bounded_channel_process(1), lambda: bounded_channel_process(2)),
+            (switch_process, switch_process),
+            (_locally_synchronised_process, _locally_synchronised_process),
+        ],
+        ids=["alternator", "channels", "switch", "local"],
+    )
+    def test_products(self, left, right):
+        sides = [CompiledProcess(left()), CompiledProcess(right())]
+        result = explore_product(*sides)
+        _assert_alphabet_is_exact(result, sides, list(sides[0].input_names))
+
+    @pytest.mark.parametrize("tied_side", ["left", "right"])
+    def test_product_drops_what_either_side_refuses(self, tied_side):
+        builder = ProcessBuilder("Free")
+        builder.define(builder.output("x", "boolean"), builder.input("a", "boolean"))
+        builder.input("c", "event")
+        sides = [CompiledProcess(builder.build()), CompiledProcess(_locally_synchronised_process())]
+        if tied_side == "left":
+            sides.reverse()
+        result = explore_product(*sides, shared_driven=["a", "c"])
+        assert (result.stimuli, result.rejected_stimuli) == (3, 0)
+        _assert_alphabet_is_exact(result, sides, ["a", "c"])
+
+    def test_driven_pair_tied_through_a_local_is_pruned(self):
+        result = explore(_locally_synchronised_process())
+        # a ∈ {absent, true, false} × c ∈ {absent, event}: the three
+        # combinations that split the pair's presence go, and nothing left is
+        # refused.
+        assert (result.stimuli, result.rejected_stimuli) == (3, 0)
+        assert result.statistics()["stimuli"] == 3
+
+    def test_product_honours_allow_silent(self):
+        options = ExplorationOptions(allow_silent=False)
+        result = explore_product(alternator_process(), alternator_process(), options=options)
+        assert result.stimuli == 1
+        assert all(transition.label for transition in result.lts.transitions())
 
 
 class TestInvariants:
